@@ -96,6 +96,20 @@ class AtpgConfig:
             raise ValueError("extension chunks must be positive")
         if self.genetic_population < 2:
             raise ValueError("genetic_population must be at least 2")
+        if self.genetic_sequence_length < 1:
+            raise ValueError(
+                "genetic_sequence_length must be positive, got "
+                f"{self.genetic_sequence_length}"
+            )
+        if self.genetic_generations < 0:
+            raise ValueError(
+                "genetic_generations must be >= 0, got "
+                f"{self.genetic_generations}"
+            )
+        if self.genetic_targets < 0:
+            raise ValueError(
+                f"genetic_targets must be >= 0, got {self.genetic_targets}"
+            )
         if self.compaction_method not in ("restoration", "omission"):
             raise ValueError(
                 f"unknown compaction method {self.compaction_method!r}"

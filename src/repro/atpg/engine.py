@@ -143,6 +143,12 @@ def generate_t0(
         # successful candidate is appended and the session advanced over it.
         # ------------------------------------------------------------------
         if session.num_remaining and config.genetic_targets > 0:
+            # One serial candidate-scan simulator scores every generation
+            # (one paired scan each); GA populations are far below any
+            # sharding floor, so the execution knobs do not apply.
+            ga_simulator = sess.sequence_simulator(
+                compiled, backend=config.backend, workers=1, parallel="serial"
+            )
             targets = sorted(session.remaining_faults)[: config.genetic_targets]
             still_remaining = set(session.remaining_faults)
             for salt, fault in enumerate(targets):
@@ -150,7 +156,7 @@ def generate_t0(
                     continue  # covered as a side effect of an earlier attack
                 if len(sequence) + 2 * config.genetic_sequence_length > config.max_length:
                     break
-                outcome = attack_fault(compiled, fault, config, salt=salt)
+                outcome = attack_fault(ga_simulator, fault, config, salt=salt)
                 result.genetic_attempts += 1
                 if outcome.succeeded and outcome.sequence is not None:
                     result.detected_genetic += commit(outcome.sequence)

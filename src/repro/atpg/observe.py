@@ -1,4 +1,4 @@
-"""Single-fault observation simulator for ATPG guidance.
+"""Single-fault observation simulator: the GA fitness oracle.
 
 The genetic phase needs a *gradient*: how close does a candidate sequence
 come to detecting a target fault?  Plain detected/not-detected gives no
@@ -7,6 +7,12 @@ slot each) and reports, per time unit, how many flip-flops hold
 definitely-different values in the two machines — the classic
 state-divergence measure STRATEGATE-style generators steer by — plus the
 detection time if the fault propagates to a primary output.
+
+Production code no longer calls it: the GA scores a whole generation in
+one paired scan with the backends' state-divergence reduction
+(:meth:`repro.sim.seqsim.SequenceBatchSimulator.observe`).  This
+one-candidate, big-int-kernel walk is kept as the readable definition of
+those fields and the oracle the batched scan is tested against.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from repro.sim.backend import DEFAULT_BACKEND
 from repro.faults.universe import FaultUniverse
 from repro.harness.suite import SuiteSpec
 from repro.sim.compiled import CompiledCircuit
+from repro.sim.scanplan import DEFAULT_CHUNKING
 
 #: Process-wide cache of generated T0s, keyed by (circuit, atpg config).
 _T0_CACHE: dict[tuple, AtpgResult] = {}
@@ -103,10 +104,19 @@ def prepare_experiment(
     if parallel is not None:
         overrides["parallel"] = parallel
     atpg_config = replace(spec.atpg, **overrides) if overrides else spec.atpg
-    # workers/parallel only change throughput, never the generated
-    # sequence, so normalize them out of the cache key: a workers=4
-    # sweep after a workers=1 sweep reuses the identical T0.
-    cache_key = (spec.circuit, replace(atpg_config, workers=1, parallel="auto"))
+    # The execution knobs only change throughput, never the generated
+    # sequence, so normalize them out of the cache key: a native or
+    # workers=4 sweep after a python workers=1 sweep reuses the same T0.
+    cache_key = (
+        spec.circuit,
+        replace(
+            atpg_config,
+            backend=DEFAULT_BACKEND,
+            workers=1,
+            parallel="auto",
+            chunking=DEFAULT_CHUNKING,
+        ),
+    )
     if cache_key not in _T0_CACHE:
         _T0_CACHE[cache_key] = generate_t0(
             compiled, atpg_config, universe=universe, session=session

@@ -53,8 +53,9 @@
  * the loader so a stale cached .so can never be driven with the wrong
  * marshaling.  v2 added repro_scan (whole-sequence fused scans); v3 adds
  * the thread pool and the trailing n_threads argument on repro_eval,
- * repro_detect_step and repro_scan. */
-#define REPRO_NATIVE_ABI 3
+ * repro_detect_step and repro_scan; v4 adds repro_scan's per-slot
+ * state-divergence out-array (div). */
+#define REPRO_NATIVE_ABI 4
 
 #if defined(_WIN32)
 #define EXPORT __declspec(dllexport)
@@ -817,6 +818,16 @@ EXPORT void repro_detect_step(
 /* serial early exit already requires: a slot's alive bit is monotone   */
 /* non-increasing over steps (packer windows cover a prefix of the      */
 /* sequence), so a drained live mask can never turn back on.            */
+/*                                                                      */
+/* State divergence (paired mode, div != NULL): after each step's latch */
+/* every live slot (alive & pending on entry to the step, so the step   */
+/* that detects a slot counts) folds its number of flops whose good and */
+/* faulty latched values are binary and opposite into div, three        */
+/* (words * 64) int64 rows: max, final, area.  A divergence scan        */
+/* latches even its all-detected early-exit step so that step's count   */
+/* is real; detect times and the return value are unchanged.  Each      */
+/* span writes only its own slots' counters, so threaded spans stay     */
+/* race-free.                                                           */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -875,8 +886,46 @@ typedef struct {
     uint64_t *pending;
     int64_t *times;
     uint64_t *det;
+    int64_t *div;
     int64_t collect_finals;
 } ScanArgs;
+
+/* Fold one step's latched flop divergence into div for the live slots of
+ * words [w0, w1); live masks arrive in det (see scan_span). */
+static void divergence_span(const ScanArgs *a, int64_t w0, int64_t w1)
+{
+    const int64_t words = a->words;
+    const int64_t slots = words * 64;
+    int64_t *dmax = a->div;
+    int64_t *dfinal = a->div + slots;
+    int64_t *darea = a->div + 2 * slots;
+    int64_t w, f;
+    for (w = w0; w < w1; w++) {
+        uint64_t live = a->det[w];
+        int64_t count[64];
+        if (!live)
+            continue;
+        memset(count, 0, sizeof count);
+        for (f = 0; f < a->num_flops; f++) {
+            const int64_t at = f * words + w;
+            uint64_t m = ((a->g_sh[at] & a->f_sl[at]) |
+                          (a->g_sl[at] & a->f_sh[at])) & live;
+            while (m) {
+                count[ctz64(m)]++;
+                m &= m - 1;
+            }
+        }
+        while (live) {
+            const int b = ctz64(live);
+            const int64_t s = w * 64 + b;
+            if (count[b] > dmax[s])
+                dmax[s] = count[b];
+            dfinal[s] = count[b];
+            darea[s] += count[b];
+            live &= live - 1;
+        }
+    }
+}
 
 static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
 {
@@ -969,21 +1018,24 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
                              a->obs_off[t + 1] - a->obs_off[t], a->po_sig,
                              a->f_po_sa1, a->f_po_sa0, a->det);
 
+        /* Record first hits; det is left holding this step's live mask
+         * (alive & pending on entry) for the divergence reduction. */
         uint64_t pend_any = 0;
         for (w = w0; w < w1; w++) {
-            uint64_t d = a->det[w] & a->pending[w];
-            if (alive_row)
-                d &= alive_row[w];
+            const uint64_t live =
+                (alive_row ? alive_row[w] : ~(uint64_t)0) & a->pending[w];
+            const uint64_t hit = a->det[w] & live;
+            uint64_t d = hit;
             while (d) {
                 const int b = ctz64(d);
                 a->times[w * 64 + b] = t;
                 d &= d - 1;
             }
-            a->pending[w] &=
-                ~(a->det[w] & (alive_row ? alive_row[w] : ~(uint64_t)0));
+            a->pending[w] &= ~hit;
+            a->det[w] = live;
             pend_any |= a->pending[w];
         }
-        if (!pend_any && !a->collect_finals)
+        if (!pend_any && !a->collect_finals && !a->div)
             return -(executed + 1); /* all detected; skip the state latch */
 
         /* Latch the flop D values as next state (faulty flop patches). */
@@ -1013,6 +1065,11 @@ static int64_t scan_span(const ScanArgs *a, int64_t w0, int64_t w1)
                 h[w] = (h[w] | fh[w]) & kh[w];
                 l[w] = (l[w] | fl[w]) & kl[w];
             }
+        }
+        if (a->div) {
+            divergence_span(a, w0, w1);
+            if (!pend_any && !a->collect_finals)
+                return -(executed + 1); /* all detected, divergence counted */
         }
     }
     return executed;
@@ -1097,6 +1154,8 @@ EXPORT int64_t repro_scan(
     uint64_t *pending,        /* (words), in/out                        */
     int64_t *times,           /* (words * 64), -1 = undetected, in/out  */
     uint64_t *det,            /* (words) detection scratch              */
+    int64_t *div,             /* (3, words * 64) max/final/area, in/out; */
+                              /* NULL = off; paired mode (GV) only      */
     int64_t collect_finals,
     int64_t n_threads)
 {
@@ -1110,7 +1169,7 @@ EXPORT int64_t repro_scan(
                      stim_zeros, stim_bits, t0, num_steps, po_sig,
                      num_pos, g_po_sa1, g_po_sa0, f_po_sa1, f_po_sa0,
                      obs_off, obs_pos, obs_vals, alive, pending, times,
-                     det, collect_finals};
+                     det, GV ? div : 0, collect_finals};
 #if REPRO_HAVE_THREADS
     const int64_t spans = clamp_spans(n_threads, words);
     if (spans > 1) {

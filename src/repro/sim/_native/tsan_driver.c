@@ -17,7 +17,11 @@
  *   5. fault-axis repro_scan with per-slot alive windows that drain at
  *      different steps per span, serial vs threaded — detect times,
  *      pending mask and the early-exit return combined through the
- *      finished_spans atomic must match bit-for-bit.
+ *      finished_spans atomic must match bit-for-bit;
+ *   6. paired-candidate repro_scan (good + faulty machines, flop state,
+ *      a flop patch) with the state-divergence out-array, serial vs
+ *      threaded — divergence rows, detect times, pending mask, latched
+ *      states and the return value must match bit-for-bit.
  *
  * Build and run (the CI TSan lane):
  *
@@ -314,7 +318,7 @@ static int check_scan_parity(void)
                        0, 0, 0, 0, pi_sig, PIS, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                        0, 0, 0, 0, 0, 0, stim_bits, 0, STEPS, po_sig,
                        num_pos, 0, 0, sa_zero, sa_zero, obs_off, obs_pos,
-                       obs_vals, alive, pending_s, times_s, det, 0, 1);
+                       obs_vals, alive, pending_s, times_s, det, 0, 0, 1);
     fill_rails(FV, 0x6000);
     ret_t = repro_scan(0, FV, WORDS, g_codes, g_outs, g_in_off, g_ins,
                        GATES, g_pin_ops, g_pin_pins, g_pin_sa1, g_pin_sa0,
@@ -322,7 +326,8 @@ static int check_scan_parity(void)
                        0, 0, 0, 0, pi_sig, PIS, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                        0, 0, 0, 0, 0, 0, stim_bits, 0, STEPS, po_sig,
                        num_pos, 0, 0, sa_zero, sa_zero, obs_off, obs_pos,
-                       obs_vals, alive, pending_t, times_t, det, 0, LANES);
+                       obs_vals, alive, pending_t, times_t, det, 0, 0,
+                       LANES);
 
     if (ret_s != ret_t) {
         fprintf(stderr, "FAIL scan return: serial %lld threaded %lld\n",
@@ -343,6 +348,140 @@ static int check_scan_parity(void)
     free(alive);
     free(times_s);
     free(times_t);
+    return failures;
+}
+
+/* --- paired-candidate scan with the divergence reduction ---------- */
+
+#define PAIRED_PIS 2 /* signals 0, 1 are inputs; 2, 3 are flop outputs */
+#define FLOPS 2
+#define SLOTS (WORDS * 64)
+
+typedef struct {
+    uint64_t *GV;
+    uint64_t *FV;
+    uint64_t g_sh[FLOPS * WORDS], g_sl[FLOPS * WORDS];
+    uint64_t f_sh[FLOPS * WORDS], f_sl[FLOPS * WORDS];
+    uint64_t pending[WORDS];
+    int64_t times[SLOTS];
+    int64_t div[3 * SLOTS];
+    int64_t ret;
+} PairedRun;
+
+static void run_paired(PairedRun *r, const uint64_t *ones,
+                       const uint64_t *zeros, const uint64_t *alive,
+                       int64_t n_threads)
+{
+    static const int32_t pi_sig[PAIRED_PIS] = {0, 1};
+    static const int32_t q_sig[FLOPS] = {2, 3};
+    static const int32_t d_sig[FLOPS] = {SIGNALS - 1, SIGNALS - 5};
+    static const int32_t dff_pos[1] = {0};
+    static uint64_t sa_zero[8 * WORDS];
+    uint64_t keep_h[WORDS], keep_l[WORDS], det[WORDS];
+    uint64_t *scratch = malloc((size_t)(2 * MAX_ARITY) * WORDS * 8);
+    int32_t po_sig[8];
+    int64_t i;
+    for (i = 0; i < 8; i++)
+        po_sig[i] = (int32_t)(SIGNALS - 8 + i);
+    /* The flop patch reuses the pin masks: force H where sa1, L where
+     * sa0, clearing the opposite rail. */
+    for (i = 0; i < WORDS; i++) {
+        keep_h[i] = ~g_pin_sa0[i];
+        keep_l[i] = ~g_pin_sa1[i];
+        r->pending[i] = ~(uint64_t)0;
+    }
+    for (i = 0; i < SLOTS; i++)
+        r->times[i] = -1;
+    memset(r->div, 0, sizeof(r->div));
+    memset(r->g_sh, 0, sizeof(r->g_sh)); /* all-X start */
+    memset(r->g_sl, 0, sizeof(r->g_sl));
+    memset(r->f_sh, 0, sizeof(r->f_sh));
+    memset(r->f_sl, 0, sizeof(r->f_sl));
+    fill_rails(r->GV, 0x8000);
+    fill_rails(r->FV, 0x8000);
+    r->ret = repro_scan(
+        r->GV, r->FV, WORDS, g_codes, g_outs, g_in_off, g_ins, GATES,
+        g_pin_ops, g_pin_pins, g_pin_sa1, g_pin_sa0, 1, g_stem_ops,
+        g_stem_sa1, g_stem_sa0, 1, scratch, 0, 0, 0, 0, pi_sig, PAIRED_PIS,
+        q_sig, d_sig, FLOPS, dff_pos, g_pin_sa1, keep_h, g_pin_sa0, keep_l,
+        1, r->g_sh, r->g_sl, r->f_sh, r->f_sl, ones, zeros, 0, 0, STEPS,
+        po_sig, 8, sa_zero, sa_zero, sa_zero, sa_zero, 0, 0, 0, alive,
+        r->pending, r->times, det, r->div, 0, n_threads);
+    free(scratch);
+}
+
+static int check_paired_divergence_parity(void)
+{
+    const size_t rails = (size_t)(2 * SIGNALS) * WORDS;
+    const size_t stim = (size_t)STEPS * PAIRED_PIS * WORDS;
+    uint64_t *ones = malloc(stim * sizeof(uint64_t));
+    uint64_t *zeros = malloc(stim * sizeof(uint64_t));
+    uint64_t *alive = malloc((size_t)STEPS * WORDS * sizeof(uint64_t));
+    PairedRun *serial = malloc(sizeof(PairedRun));
+    PairedRun *threaded = malloc(sizeof(PairedRun));
+    uint64_t rng = 0x9000;
+    int64_t s, w, b, area = 0;
+    size_t i;
+    int failures = 0;
+    for (i = 0; i < stim; i++) {
+        ones[i] = splitmix(&rng);
+        zeros[i] = ~ones[i];
+    }
+    /* Candidates of different lengths (1..STEPS steps), so spans drain
+     * at different steps. */
+    for (s = 0; s < STEPS; s++)
+        for (w = 0; w < WORDS; w++) {
+            uint64_t row = 0;
+            for (b = 0; b < 64; b++)
+                if (s < 1 + (w * 64 + b) % STEPS)
+                    row |= (uint64_t)1 << b;
+            alive[s * WORDS + w] = row;
+        }
+    serial->GV = malloc(rails * sizeof(uint64_t));
+    serial->FV = malloc(rails * sizeof(uint64_t));
+    threaded->GV = malloc(rails * sizeof(uint64_t));
+    threaded->FV = malloc(rails * sizeof(uint64_t));
+    run_paired(serial, ones, zeros, alive, 1);
+    run_paired(threaded, ones, zeros, alive, LANES);
+
+    if (serial->ret != threaded->ret) {
+        fprintf(stderr, "FAIL paired scan return: serial %lld threaded %lld\n",
+                (long long)serial->ret, (long long)threaded->ret);
+        failures++;
+    }
+    if (memcmp(serial->div, threaded->div, sizeof(serial->div)) != 0) {
+        fprintf(stderr, "FAIL paired scan divergence parity\n");
+        failures++;
+    }
+    if (memcmp(serial->times, threaded->times, sizeof(serial->times)) != 0
+        || memcmp(serial->pending, threaded->pending,
+                  sizeof(serial->pending)) != 0) {
+        fprintf(stderr, "FAIL paired scan detect parity\n");
+        failures++;
+    }
+    if (memcmp(serial->g_sh, threaded->g_sh, sizeof(serial->g_sh)) != 0
+        || memcmp(serial->g_sl, threaded->g_sl, sizeof(serial->g_sl)) != 0
+        || memcmp(serial->f_sh, threaded->f_sh, sizeof(serial->f_sh)) != 0
+        || memcmp(serial->f_sl, threaded->f_sl, sizeof(serial->f_sl)) != 0) {
+        fprintf(stderr, "FAIL paired scan latched-state parity\n");
+        failures++;
+    }
+    for (i = 0; i < SLOTS; i++)
+        area += serial->div[2 * SLOTS + i];
+    if (area == 0) {
+        fprintf(stderr, "FAIL paired scan never diverged (vacuous check)\n");
+        failures++;
+    }
+    printf("paired scan: total divergence area %lld\n", (long long)area);
+    free(serial->GV);
+    free(serial->FV);
+    free(threaded->GV);
+    free(threaded->FV);
+    free(serial);
+    free(threaded);
+    free(ones);
+    free(zeros);
+    free(alive);
     return failures;
 }
 
@@ -371,6 +510,7 @@ int main(void)
     failures += check_detect_parity();
     failures += check_concurrent_callers();
     failures += check_scan_parity();
+    failures += check_paired_divergence_parity();
     repro_thread_pool_shutdown();
     if (failures) {
         fprintf(stderr, "%d parity failure(s)\n", failures);

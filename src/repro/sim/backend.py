@@ -256,6 +256,53 @@ class BroadcastStimulus:
         return self._bits
 
 
+class StateDivergence:
+    """Per-slot state-divergence reduction of a paired candidate scan.
+
+    A flop *diverges* in slot ``s`` when the good and faulty machines
+    latched opposite binary values into it (X never counts).  After
+    every live step of ``s`` — every step inside its candidate up to and
+    including the step it detects on — the slot's divergent-flop count
+    ``d`` updates ``max`` (running maximum), ``final`` (last ``d``) and
+    ``area`` (sum of ``d``).  These are exactly the fields
+    :class:`repro.atpg.observe.FaultObserver` reports for one candidate,
+    the genetic search's fitness signal.  Filled in place by
+    :meth:`SimBackend.run_scan`; slots never live stay at zero.
+    """
+
+    __slots__ = ("max", "final", "area")
+
+    def __init__(self, num_slots: int) -> None:
+        self.max = [0] * num_slots
+        self.final = [0] * num_slots
+        self.area = [0] * num_slots
+
+    def add_step(
+        self,
+        live: int,
+        good_state: Sequence[tuple[int, int]],
+        faulty_state: Sequence[tuple[int, int]],
+    ) -> None:
+        """Fold one step's latched per-flop ``(H, L)`` words into ``live``."""
+        counts: dict[int, int] = {}
+        for (gh, gl), (fh, fl) in zip(good_state, faulty_state):
+            mask = ((gh & fl) | (gl & fh)) & live
+            while mask:
+                low = mask & -mask
+                slot = low.bit_length() - 1
+                counts[slot] = counts.get(slot, 0) + 1
+                mask ^= low
+        while live:
+            low = live & -live
+            slot = low.bit_length() - 1
+            live ^= low
+            count = counts.get(slot, 0)
+            if count > self.max[slot]:
+                self.max[slot] = count
+            self.final[slot] = count
+            self.area[slot] += count
+
+
 def unpack_states(packed: Sequence[int], num_flops: int) -> list[tuple[int, int]]:
     """Per-slot packed states -> per-flop ``(H, L)`` Python-int word pairs."""
     state: list[tuple[int, int]] = []
@@ -523,6 +570,7 @@ class SimBackend(ABC):
         alive_mask,
         *,
         collect_final_states: bool = False,
+        divergence: StateDivergence | None = None,
     ) -> "list[int | None]":
         """Execute a whole-sequence scan in one backend call.
 
@@ -556,7 +604,17 @@ class SimBackend(ABC):
         early and latches every step, so
         :meth:`SimBatch.export_state_packed` afterwards matches the
         stepped path bit for bit.
+
+        ``divergence`` (paired axis only) additionally fills a
+        :class:`StateDivergence` from each step's latched flop values.
+        The step that detects a slot counts too, so a divergence scan
+        latches even its early-exiting step (detect times are
+        unchanged).
         """
+        if divergence is not None and observation_plan is not None:
+            raise SimulationError(
+                "state divergence needs a paired scan (observation_plan=None)"
+            )
         num_steps = packed_stimulus.num_steps
         num_slots = packed_stimulus.num_slots
         steady = isinstance(alive_mask, int)
@@ -591,11 +649,21 @@ class SimBackend(ABC):
                     remaining >>= 1
                     slot += 1
                 pending &= ~detected_now
-                if pending == 0 and not collect_final_states:
+                if (
+                    pending == 0
+                    and not collect_final_states
+                    and divergence is None
+                ):
                     break
             if good is not None:
                 good.capture_state()
             faulty.capture_state()
+            if divergence is not None:
+                divergence.add_step(
+                    live, good.export_state_words(), faulty.export_state_words()
+                )
+                if pending == 0 and not collect_final_states:
+                    break
         record_dispatch("scan_calls")
         record_dispatch("scan_steps", executed)
         return times

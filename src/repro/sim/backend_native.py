@@ -38,7 +38,12 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
-from repro.sim.backend import SimBatch, SimProgram, record_dispatch
+from repro.sim.backend import (
+    SimBatch,
+    SimProgram,
+    StateDivergence,
+    record_dispatch,
+)
 from repro.sim.backend_numpy import (
     WORD_BITS,
     NumpyBackend,
@@ -364,6 +369,7 @@ class NativeBackend(NumpyBackend):
         alive_mask,
         *,
         collect_final_states: bool = False,
+        divergence: StateDivergence | None = None,
     ) -> list[int | None]:
         """All ``num_steps`` time steps in GIL-released C calls.
 
@@ -373,8 +379,14 @@ class NativeBackend(NumpyBackend):
         good/faulty eval, detection, first-hit bookkeeping and the flop
         latch — so the Python cost is O(chunks), not O(steps).  Stimuli
         without a packed-array form fall back to the stepped base scan.
+        A ``divergence`` reduction is computed in the same kernel walk,
+        into per-slot ``(max, final, area)`` rows.
         """
         paired = observation_plan is None
+        if divergence is not None and not paired:
+            raise SimulationError(
+                "state divergence needs a paired scan (observation_plan=None)"
+            )
         if paired:
             chunk_arrays = getattr(packed_stimulus, "chunk_arrays", None)
             if chunk_arrays is None:
@@ -385,6 +397,7 @@ class NativeBackend(NumpyBackend):
                     observation_plan,
                     alive_mask,
                     collect_final_states=collect_final_states,
+                    divergence=divergence,
                 )
         else:
             bits_of = getattr(packed_stimulus, "bits", None)
@@ -396,6 +409,7 @@ class NativeBackend(NumpyBackend):
                     observation_plan,
                     alive_mask,
                     collect_final_states=collect_final_states,
+                    divergence=divergence,
                 )
         num_steps = packed_stimulus.num_steps
         num_slots = packed_stimulus.num_slots
@@ -422,6 +436,11 @@ class NativeBackend(NumpyBackend):
                 alive_rows = _masks_to_matrix(list(alive_mask), words)
         times = np.full(words * WORD_BITS, -1, dtype=np.int64)
         det = np.zeros(words, dtype=np.uint64)
+        div_rows = (
+            None
+            if divergence is None
+            else np.zeros((3, words * WORD_BITS), dtype=np.int64)
+        )
         (
             src_rows,
             src_force,
@@ -521,6 +540,7 @@ class NativeBackend(NumpyBackend):
             _addr(pending),
             _addr(times),
             _addr(det),
+            None if div_rows is None else _addr(div_rows),
             int(collect_final_states),
             faulty.threads,
         )
@@ -574,6 +594,10 @@ class NativeBackend(NumpyBackend):
             t_hit = int(times[slot])
             if t_hit >= 0:
                 times_out[slot] = t_hit
+        if div_rows is not None:
+            divergence.max = div_rows[0, :num_slots].tolist()
+            divergence.final = div_rows[1, :num_slots].tolist()
+            divergence.area = div_rows[2, :num_slots].tolist()
         record_dispatch("scan_calls")
         record_dispatch("scan_steps", executed)
         return times_out

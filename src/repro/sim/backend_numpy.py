@@ -820,6 +820,7 @@ class NumpyBackend(SimBackend):
         alive_mask,
         *,
         collect_final_states: bool = False,
+        divergence=None,
     ) -> "list[int | None]":
         """Blocked multi-step scan over resident word arrays.
 
@@ -829,7 +830,19 @@ class NumpyBackend(SimBackend):
         rows — no Python-int mask round trips until the final times —
         and the packed stimulus chunks stay resident in the packer's
         ``(T, num_pis, words)`` arrays, scattered in per step.
+        State-divergence scans run the reference loop itself.
         """
+        if divergence is not None:
+            return SimBackend.run_scan(
+                self,
+                good,
+                faulty,
+                packed_stimulus,
+                observation_plan,
+                alive_mask,
+                collect_final_states=collect_final_states,
+                divergence=divergence,
+            )
         num_steps = packed_stimulus.num_steps
         num_slots = packed_stimulus.num_slots
         times: list[int | None] = [None] * num_slots

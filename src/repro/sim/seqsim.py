@@ -68,6 +68,7 @@ from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.sim.backend import (
     SimBackend,
+    StateDivergence,
     get_backend,
     resolve_auto,
     resolve_scan_mode,
@@ -474,6 +475,29 @@ class SequenceBatchSimulator:
                     return start + offset, start + len(part)
         return None, len(plan)
 
+    def observe(
+        self, fault: Fault, sequences: list[TestSequence]
+    ) -> list[tuple[int | None, int, int, int]]:
+        """Detection time and state divergence of each candidate.
+
+        One ``(detected_at, max, final, area)`` tuple per sequence, field
+        for field what :meth:`repro.atpg.observe.FaultObserver.observe`
+        reports for it alone (see
+        :class:`~repro.sim.backend.StateDivergence`): the genetic
+        search scores a whole generation with one paired scan per
+        ``batch_width`` candidates instead of one simulation each.
+        """
+        self._check_widths(sequences)
+        observations: list[tuple[int | None, int, int, int]] = []
+        for start in range(0, len(sequences), self._batch_width):
+            batch = sequences[start : start + self._batch_width]
+            divergence = StateDivergence(len(batch))
+            times = self._scan_times(fault, self._pack_explicit(batch), divergence)
+            observations.extend(
+                zip(times, divergence.max, divergence.final, divergence.area)
+            )
+        return observations
+
     # ------------------------------------------------------------------
     # Public detection APIs (thin wrappers that build the plans)
     # ------------------------------------------------------------------
@@ -550,15 +574,18 @@ class SequenceBatchSimulator:
             raise SimulationError(f"first-hit chunk must be >= 1, got {chunk}")
         return chunk
 
-    def _scan_explicit(
-        self, fault: Fault, sequences: list[TestSequence]
-    ) -> list[bool]:
+    def _check_widths(self, sequences: list[TestSequence]) -> None:
         width = self._compiled.num_inputs
         for sequence in sequences:
             if len(sequence) and sequence.width != width:
                 raise SimulationError(
                     f"candidate width {sequence.width} != circuit inputs {width}"
                 )
+
+    def _scan_explicit(
+        self, fault: Fault, sequences: list[TestSequence]
+    ) -> list[bool]:
+        self._check_widths(sequences)
         outcomes: list[bool] = []
         for start in range(0, len(sequences), self._batch_width):
             batch = sequences[start : start + self._batch_width]
@@ -646,16 +673,25 @@ class SequenceBatchSimulator:
         return width
 
     def _run_packed(self, fault: Fault, packer) -> list[bool]:
-        """Drive one packed candidate batch; return per-slot outcomes.
+        """Drive one packed candidate batch; return per-slot outcomes."""
+        return [time is not None for time in self._scan_times(fault, packer)]
+
+    def _scan_times(
+        self,
+        fault: Fault,
+        packer,
+        divergence: StateDivergence | None = None,
+    ) -> list[int | None]:
+        """Drive one packed candidate batch; return per-slot detect times.
 
         The batch is opened at the packer's padded width (see
         :meth:`_pad_width`) — dead slots beyond the real candidates are
         driven with constant 0 and masked out of ``alive`` — so the
         backend LRU serves a small set of cached programs per fault for
-        the whole search.
+        the whole search.  ``divergence`` rides along into
+        :meth:`~repro.sim.backend.SimBackend.run_scan`.
         """
-        count = len(packer.lengths)
-        if count == 0:
+        if not packer.lengths:
             return []
         backend = self._backend
         batch_width = packer.batch_width
@@ -672,13 +708,19 @@ class SequenceBatchSimulator:
         # backend's whole-sequence kernel.
         if self._scan_mode == "stepped":
             times = SimBackend.run_scan(
-                backend, good, faulty, packer, None, packer.alive_masks
+                backend,
+                good,
+                faulty,
+                packer,
+                None,
+                packer.alive_masks,
+                divergence=divergence,
             )
         else:
             times = backend.run_scan(
-                good, faulty, packer, None, packer.alive_masks
+                good, faulty, packer, None, packer.alive_masks, divergence=divergence
             )
-        return [times[slot] is not None for slot in range(count)]
+        return times
 
     def _run_batch_legacy(
         self, fault: Fault, batch: list[TestSequence]

@@ -17,9 +17,11 @@ from repro.atpg.random_gen import (
     weighted_sequence,
 )
 from repro.atpg.restoration import restoration_compact
+from repro.core.request import RunRequest
 from repro.core.sequence import TestSequence
 from repro.sim.compiled import CompiledCircuit
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.seqsim import SequenceBatchSimulator
 from repro.util.rng import SplitMix64
 
 
@@ -77,8 +79,9 @@ class TestObserver:
         observer = FaultObserver(CompiledCircuit(s27))
         for fault in list(s27_universe.faults())[:5]:
             observation = observer.observe(fault, s27_t0)
-            assert observation.max_state_divergence >= 0
-            assert observation.divergence_area >= observation.final_state_divergence * 0
+            peak = observation.max_state_divergence
+            assert peak >= observation.final_state_divergence >= 0
+            assert observation.divergence_area >= peak
 
     def test_empty_sequence(self, s27, s27_universe):
         observer = FaultObserver(CompiledCircuit(s27))
@@ -92,14 +95,16 @@ class TestGenetic:
         config = AtpgConfig(
             genetic_population=8, genetic_generations=6, genetic_sequence_length=10
         )
-        outcome = attack_fault(CompiledCircuit(s27), s27_universe.fault(0), config, salt=0)
+        simulator = SequenceBatchSimulator(CompiledCircuit(s27))
+        outcome = attack_fault(simulator, s27_universe.fault(0), config, salt=0)
         assert outcome.succeeded
         assert FaultSimulator(s27).detects(outcome.sequence, s27_universe.fault(0))
 
     def test_ga_is_deterministic(self, s27, s27_universe):
         config = AtpgConfig(genetic_population=6, genetic_generations=4)
-        a = attack_fault(CompiledCircuit(s27), s27_universe.fault(3), config, salt=1)
-        b = attack_fault(CompiledCircuit(s27), s27_universe.fault(3), config, salt=1)
+        simulator = SequenceBatchSimulator(CompiledCircuit(s27))
+        a = attack_fault(simulator, s27_universe.fault(3), config, salt=1)
+        b = attack_fault(simulator, s27_universe.fault(3), config, salt=1)
         assert a.sequence == b.sequence
         assert a.evaluations == b.evaluations
 
@@ -190,3 +195,27 @@ class TestEngine:
             AtpgConfig(genetic_population=1)
         with pytest.raises(ValueError):
             AtpgConfig(compaction_method="magic")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("genetic_sequence_length", 0),
+            ("genetic_sequence_length", -3),
+            ("genetic_generations", -1),
+            ("genetic_targets", -1),
+        ],
+    )
+    def test_genetic_knobs_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AtpgConfig(**{field: value})
+        payload = AtpgConfig().to_json()
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
+            AtpgConfig.from_json(payload)
+        request = {"circuit": "s27", "kind": "atpg", "atpg": payload}
+        with pytest.raises(ValueError, match=field):
+            RunRequest.from_json(request)
+
+    def test_zero_generations_and_targets_accepted(self, s27):
+        config = AtpgConfig(genetic_generations=0, genetic_targets=0)
+        assert AtpgConfig.from_json(config.to_json()) == config

@@ -136,6 +136,34 @@ class TestExperiment:
         second = prepare_experiment(spec)
         assert first.t0 == second.t0
 
+    def test_t0_cache_ignores_execution_knobs(self, monkeypatch):
+        from repro.atpg.config import AtpgConfig
+        from repro.harness import experiment
+
+        generate = experiment.generate_t0
+        generated = []
+
+        def counting(*args, **kwargs):
+            generated.append(args[0])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "_T0_CACHE", {})
+        monkeypatch.setattr(experiment, "generate_t0", counting)
+        spec = SuiteSpec(
+            circuit="syn298", paper_name="s298", atpg=AtpgConfig(max_length=60)
+        )
+        first = experiment.prepare_experiment(spec, backend="python")
+        spec = SuiteSpec(
+            circuit="syn298",
+            paper_name="s298",
+            atpg=AtpgConfig(max_length=60, chunking="count"),
+        )
+        second = experiment.prepare_experiment(
+            spec, backend="auto", workers=2, parallel="threads"
+        )
+        assert len(generated) == 1
+        assert second.atpg_result is first.atpg_result
+
 
 class TestRenderers:
     def test_table3_contains_measured_and_paper_rows(self, s27_record):
